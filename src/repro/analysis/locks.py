@@ -45,7 +45,6 @@ from repro.analysis.findings import Finding, Module, ModuleTable
 THREADED_PATHS: Tuple[str, ...] = (
     "repro/server/",
     "repro/parallel/service.py",
-    "repro/parallel/pool.py",
 )
 
 #: Guard inference thresholds (see module docstring).

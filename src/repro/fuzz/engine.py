@@ -42,7 +42,7 @@ from repro.fuzz.schedule import (
     random_schedule,
 )
 from repro.observers import Observers
-from repro.parallel.pool import RunPool, WorkerFailure
+from repro.parallel import RunPool, WorkerFailure
 from repro.parallel.seeds import derive_seed
 
 #: Trials per generation batch.  Fixed (never sized from ``jobs``) so

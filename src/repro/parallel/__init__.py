@@ -5,17 +5,18 @@ but everything *above* a run is embarrassingly parallel: sweep points,
 experiments, benchmark repeats, seeded verification runs.  This package
 provides the one engine all of those layers share:
 
-* :class:`~repro.parallel.pool.RunPool` -- warm spawn-context workers,
-  submission-index-ordered merging, typed :class:`WorkerFailure` rows,
-  per-task timeout with straggler cancellation, progress callbacks and
-  optional per-worker host calibration;
+* :class:`~repro.parallel.service.PoolService` -- the worker engine:
+  warm spawn-context workers, hand-off of each task to one idle worker,
+  bounded admission, per-task deadlines, typed :class:`WorkerFailure`
+  rows for errors, timeouts and crashes, and respawn; the scenario
+  server submits to it directly;
+* :class:`~repro.parallel.pool.RunPool` -- an ordered gather over the
+  service: submission-index-ordered merging, progress callbacks, and
+  the exact serial fallback;
 * :func:`~repro.parallel.seeds.derive_seed` -- hash-based, process- and
   platform-stable child-seed derivation;
 * :func:`~repro.parallel.seeds.resolve_jobs` -- the uniform ``--jobs``
-  contract (``1`` serial, ``0`` = one worker per CPU);
-* :class:`~repro.parallel.service.PoolService` -- the long-lived
-  request/response face of the same worker protocol (warm workers,
-  bounded admission, per-task deadlines) used by the scenario server.
+  contract (``1`` serial, ``0`` = one worker per CPU).
 
 Consumers: ``Sweep.run(jobs=N)``, ``repro experiments --jobs N``,
 ``repro bench --jobs N``, ``repro serve`` and the corresponding
@@ -25,18 +26,14 @@ byte-identical tables and metrics to ``jobs=1``; only wall-clock
 changes.
 """
 
-from repro.parallel.pool import (
-    Call,
-    RunPool,
-    WorkerError,
-    WorkerFailure,
-    raise_failures,
-)
+from repro.parallel.pool import Call, RunPool, raise_failures
 from repro.parallel.seeds import derive_seed, resolve_jobs
 from repro.parallel.service import (
     PoolService,
     QueueFullError,
     ServiceClosedError,
+    WorkerError,
+    WorkerFailure,
 )
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""``RunPool``: a warm multiprocessing worker pool for independent runs.
+"""``RunPool``: an ordered gather of independent runs over ``PoolService``.
 
 Design constraints (see DESIGN.md section 2.9):
 
@@ -6,50 +6,32 @@ Design constraints (see DESIGN.md section 2.9):
   never by completion order, and every task carries its full
   configuration (seed included), so a parallel run is indistinguishable
   from the serial loop it replaces.
-* **Warm workers** -- workers are spawned once per pool and reused
-  across :meth:`RunPool.map` calls, amortizing interpreter startup and
-  package import over the whole sweep/suite.
-* **Structured failure** -- a task that raises comes back as a typed
+* **One engine** -- workers, hand-off, deadlines, crash attribution and
+  respawn all belong to :class:`~repro.parallel.service.PoolService`.
+  A pool starts its service at the first parallel :meth:`RunPool.map`
+  and reuses it (warm workers) across later maps.
+* **Structured failure** -- a task that raises, overruns the per-task
+  ``timeout`` or loses its worker comes back as a typed
   :class:`WorkerFailure` row in its slot (the original exception rides
   along when it survives pickling), so ``Sweep.run(keep_errors=True)``
   can keep its abort-rate studies and strict callers can re-raise.
-* **Bounded stragglers** -- an optional per-task ``timeout`` kills the
-  worker running an overdue task (the straggler's slot becomes a
-  ``timeout`` failure) and replaces the worker so queued tasks still
-  run.
 * **Graceful degradation** -- with ``jobs<=1``, a single task, or a task
   that cannot be pickled (lambdas, closures), the pool runs the batch
   inline in the parent, preserving exact serial semantics.  The
   ``ran_parallel`` attribute reports which path a ``map`` took.
-
-Host wall-clock reads in this module drive orchestration (timeouts,
-dispatch) only; they never reach simulated behavior -- the determinism
-lint exempts this file for that reason.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import dataclasses
 import pickle
-import queue as queue_module
-import time
-from dataclasses import dataclass, field
+import sys
+import traceback
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.parallel.seeds import resolve_jobs
-from repro.parallel.worker import worker_main
-
-#: How long the collection loop blocks on the result queue between
-#: liveness/timeout sweeps.
-_POLL_SECONDS = 0.05
-
-#: Seconds to wait for a worker to exit voluntarily at close time.
-_JOIN_SECONDS = 2.0
-
-
-class WorkerError(RuntimeError):
-    """Raised in the parent for a task failure whose original exception
-    could not be transported across the process boundary."""
+from repro.parallel.service import PoolService, WorkerFailure
 
 
 @dataclass
@@ -68,39 +50,8 @@ class Call:
     key: str = ""
 
 
-@dataclass
-class WorkerFailure:
-    """A task that did not produce a result -- the error row format.
-
-    ``kind`` is ``"error"`` (the task raised), ``"timeout"`` (the task
-    exceeded the pool's per-task timeout and its worker was killed) or
-    ``"crash"`` (the worker process died under the task).  When the
-    original exception could be pickled it is carried in ``exception``
-    and :meth:`raise_` re-raises it; otherwise :meth:`raise_` raises a
-    :class:`WorkerError` with the marshaled description.
-    """
-
-    index: int
-    key: str
-    kind: str
-    error_type: str
-    message: str
-    traceback: str = ""
-    exception: Optional[BaseException] = field(
-        default=None, repr=False, compare=False)
-
-    def __str__(self) -> str:
-        where = f" (task {self.key})" if self.key else ""
-        return f"[{self.kind}] {self.error_type}: {self.message}{where}"
-
-    def raise_(self) -> None:
-        if self.exception is not None:
-            raise self.exception
-        raise WorkerError(str(self))
-
-
 class RunPool:
-    """A pool of warm spawn-context workers executing independent tasks.
+    """Run batches of independent tasks on warm workers, in order.
 
     Usage::
 
@@ -110,38 +61,26 @@ class RunPool:
     ``outcomes`` is a list aligned with the submitted calls: each slot is
     the task's return value or a :class:`WorkerFailure`.  ``jobs=0``
     means one worker per CPU; ``progress(done, total, key)`` is invoked
-    in the parent as results arrive (in completion order -- only the
-    *merge* is submission-ordered).  ``calibrate_workers=True`` makes
-    each worker measure the host calibration factor once at startup
-    (:attr:`worker_calibrations`), which the bench harness uses to keep
-    normalized comparisons valid under fan-out.
+    in the parent once per task, in submission order.
 
     A pool is not reentrant: call :meth:`map` from one thread at a time.
     """
 
     def __init__(self, jobs: int = 0, timeout: Optional[float] = None,
-                 progress: Optional[Callable[[int, int, str], None]] = None,
-                 calibrate_workers: bool = False) -> None:
+                 progress: Optional[Callable[[int, int, str], None]] = None
+                 ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.timeout = timeout
         self.progress = progress
-        self.calibrate_workers = calibrate_workers
-        #: worker id -> calibration seconds (populated when
-        #: ``calibrate_workers`` and the worker has said hello).
-        self.worker_calibrations: Dict[int, float] = {}
-        #: worker id that produced each slot of the last ``map`` (None
-        #: for serial execution or failed slots).
+        #: worker id each slot of the last ``map`` ran on (None for
+        #: serial execution).
         self.last_workers: List[Optional[int]] = []
         #: progress callbacks that raised (swallowed: a broken progress
-        #: printer must not abort the drain loop mid-fan-out).
+        #: printer must not abort the gather mid-fan-out).
         self.progress_errors = 0
         #: True when the last ``map`` actually fanned out.
         self.ran_parallel = False
-        self._ctx = multiprocessing.get_context("spawn")
-        self._task_queue: Optional[Any] = None
-        self._result_queue: Optional[Any] = None
-        self._workers: Dict[int, Any] = {}
-        self._next_worker_id = 0
+        self._service: Optional[PoolService] = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -155,22 +94,10 @@ class RunPool:
 
     def close(self) -> None:
         """Retire the workers.  Idempotent; called by ``__exit__``."""
-        if self._closed:
-            return
         self._closed = True
-        if self._task_queue is not None:
-            for _ in self._workers:
-                try:
-                    self._task_queue.put(None)
-                except (OSError, ValueError):  # pragma: no cover - teardown
-                    break
-        deadline = time.monotonic() + _JOIN_SECONDS
-        for process in self._workers.values():
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=_JOIN_SECONDS)
-        self._workers.clear()
+        if self._service is not None:
+            self._service.close()
+            self._service = None
 
     # ------------------------------------------------------------------
     # submission
@@ -182,13 +109,11 @@ class RunPool:
         normalized = [self._normalize(call) for call in calls]
         self.last_workers = [None] * len(normalized)
         self.ran_parallel = False
-        if self.jobs <= 1 or len(normalized) <= 1:
-            return self._map_serial(normalized)
-        payloads = self._pickle_all(normalized)
-        if payloads is None:
+        if (self.jobs <= 1 or len(normalized) <= 1
+                or not all(map(_picklable, normalized))):
             return self._map_serial(normalized)
         self.ran_parallel = True
-        return self._map_parallel(normalized, payloads)
+        return self._map_parallel(normalized)
 
     @staticmethod
     def _normalize(call: Union[Call, Tuple[Any, ...]]) -> Call:
@@ -199,44 +124,11 @@ class RunPool:
         kwargs = rest[1] if len(rest) > 1 else None
         return Call(fn, tuple(args), kwargs)
 
-    @staticmethod
-    def _pickle_all(calls: Sequence[Call]) -> Optional[List[bytes]]:
-        """Pickle every task payload, or None if any cannot travel."""
-        payloads: List[bytes] = []
-        for call in calls:
-            try:
-                payloads.append(pickle.dumps(
-                    (call.fn, call.args, call.kwargs or {}),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ))
-            except Exception:
-                return None
-        return payloads
-
-    # ------------------------------------------------------------------
-    # serial fallback
-    # ------------------------------------------------------------------
-    def _map_serial(self, calls: Sequence[Call]) -> List[Any]:
-        outcomes: List[Any] = []
-        for index, call in enumerate(calls):
-            try:
-                outcomes.append(call.fn(*call.args, **(call.kwargs or {})))
-            except Exception as exc:
-                import traceback as traceback_module
-
-                outcomes.append(WorkerFailure(
-                    index=index, key=call.key, kind="error",
-                    error_type=type(exc).__name__, message=str(exc),
-                    traceback=traceback_module.format_exc(), exception=exc,
-                ))
-            self._notify(index + 1, len(calls), call.key)
-        return outcomes
-
     def _notify(self, done: int, total: int, key: str) -> None:
         """Invoke the progress callback, absorbing its failures.
 
-        The callback is user code running inside the drain loop; if it
-        raises, workers would be orphaned with results half-collected.
+        The callback is user code running inside the gather; if it
+        raised, the tickets of the rest of the batch would be abandoned.
         """
         if self.progress is None:
             return
@@ -245,145 +137,53 @@ class RunPool:
         except Exception:
             self.progress_errors += 1
 
-    # ------------------------------------------------------------------
-    # parallel path
-    # ------------------------------------------------------------------
-    def _map_parallel(self, calls: Sequence[Call],
-                      payloads: List[bytes]) -> List[Any]:
-        total = len(calls)
-        self._ensure_queues()
-        assert self._task_queue is not None and self._result_queue is not None
-        for index, payload in enumerate(payloads):
-            self._task_queue.put((index, payload))
-        results: Dict[int, Any] = {}
-        #: worker id -> (task index, monotonic start time)
-        running: Dict[int, Tuple[int, float]] = {}
-        while len(results) < total:
-            self._spawn_missing(total - len(results))
-            self._reap(running, results, calls)
+    def _map_serial(self, calls: Sequence[Call]) -> List[Any]:
+        outcomes: List[Any] = []
+        for index, call in enumerate(calls):
             try:
-                message = self._result_queue.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                continue
-            kind = message[0]
-            if kind == "hello":
-                _, worker_id, calibration = message
-                if calibration is not None:
-                    self.worker_calibrations[worker_id] = calibration
-            elif kind == "start":
-                _, worker_id, index = message
-                running[worker_id] = (index, time.monotonic())
-            elif kind == "done":
-                _, worker_id, index, body = message
-                running.pop(worker_id, None)
-                outcome = self._decode(index, calls[index], body)
-                # A slot already marked crashed can be healed by a late
-                # "done" (the worker died *after* sending its result); a
-                # deliberate timeout kill stays failed.
-                existing = results.get(index)
-                if existing is None or (isinstance(existing, WorkerFailure)
-                                        and existing.kind == "crash"):
-                    was_new = existing is None
-                    results[index] = outcome
-                    self.last_workers[index] = worker_id
-                    if was_new:
-                        self._notify(len(results), total, calls[index].key)
-        return [results[index] for index in range(total)]
+                outcomes.append(call.fn(*call.args, **(call.kwargs or {})))
+            except Exception as exc:
+                outcomes.append(WorkerFailure(
+                    index=index, key=call.key, kind="error",
+                    error_type=type(exc).__name__, message=str(exc),
+                    traceback=traceback.format_exc(), exception=exc,
+                ))
+            self._notify(index + 1, len(calls), call.key)
+        return outcomes
 
-    def _ensure_queues(self) -> None:
-        if self._task_queue is None:
-            self._task_queue = self._ctx.Queue()
-            self._result_queue = self._ctx.Queue()
-
-    def _spawn_missing(self, unresolved: int) -> None:
-        """Keep ``min(jobs, unresolved-task-count)`` workers alive."""
-        target = min(self.jobs, max(unresolved, 0))
-        while len(self._workers) < target:
-            worker_id = self._next_worker_id
-            self._next_worker_id += 1
-            process = self._ctx.Process(
-                target=worker_main,
-                args=(worker_id, self._task_queue, self._result_queue,
-                      self.calibrate_workers),
-                daemon=True,
-                name=f"repro-runpool-{worker_id}",
-            )
-            process.start()
-            self._workers[worker_id] = process
-
-    def _reap(self, running: Dict[int, Tuple[int, float]],
-              results: Dict[int, Any], calls: Sequence[Call]) -> None:
-        """Collect dead workers and kill stragglers past the timeout."""
-        now = time.monotonic()
-        for worker_id, process in list(self._workers.items()):
-            if not process.is_alive():
-                del self._workers[worker_id]
-                claimed = running.pop(worker_id, None)
-                if claimed is not None and claimed[0] not in results:
-                    index = claimed[0]
-                    results[index] = WorkerFailure(
-                        index=index, key=calls[index].key, kind="crash",
-                        error_type="WorkerCrash",
-                        message=(f"worker {worker_id} exited with code "
-                                 f"{process.exitcode} while running the task"),
-                    )
-                    self._notify(len(results), len(calls),
-                                 calls[index].key)
-                continue
-            if self.timeout is None:
-                continue
-            claimed = running.get(worker_id)
-            if claimed is not None and now - claimed[1] > self.timeout:
-                index = claimed[0]
-                process.terminate()
-                process.join(timeout=_JOIN_SECONDS)
-                del self._workers[worker_id]
-                running.pop(worker_id, None)
-                if index not in results:
-                    results[index] = WorkerFailure(
-                        index=index, key=calls[index].key, kind="timeout",
-                        error_type="TimeoutError",
-                        message=(f"task exceeded the per-task timeout of "
-                                 f"{self.timeout:g}s; worker {worker_id} "
-                                 f"was cancelled"),
-                    )
-                    self._notify(len(results), len(calls),
-                                 calls[index].key)
-
-    @staticmethod
-    def _decode(index: int, call: Call, body: bytes) -> Any:
-        return decode_result_body(index, call.key, body)
+    def _map_parallel(self, calls: Sequence[Call]) -> List[Any]:
+        # Size the service to the batch (never above ``jobs``), growing
+        # it when a later batch could use more workers.  The service is
+        # private, so admission is unbounded and map never sheds load.
+        wanted = min(self.jobs, len(calls))
+        if self._service is None or self._service.jobs < wanted:
+            if self._service is not None:
+                self._service.close()
+            self._service = PoolService(jobs=wanted, timeout=self.timeout,
+                                        max_pending=sys.maxsize)
+        tickets = [self._service.submit(call.fn, call.args, call.kwargs,
+                                        key=call.key)
+                   for call in calls]
+        outcomes: List[Any] = []
+        for index, (call, ticket) in enumerate(zip(calls, tickets)):
+            outcome = self._service.result(ticket)
+            if isinstance(outcome, WorkerFailure):
+                outcome = dataclasses.replace(outcome, index=index,
+                                              key=call.key)
+            outcomes.append(outcome)
+            self._notify(index + 1, len(calls), call.key)
+        self.last_workers = [ticket.worker_id for ticket in tickets]
+        return outcomes
 
 
-def decode_result_body(index: int, key: str, body: bytes) -> Any:
-    """Decode one ``("done", ...)`` body from the worker wire protocol.
-
-    Returns the task's value, or a :class:`WorkerFailure` row carrying
-    the worker-side error.  Shared by :class:`RunPool` (batch merging)
-    and :class:`repro.parallel.service.PoolService` (request/response).
-    """
+def _picklable(call: Call) -> bool:
+    """True if ``call`` can travel to a spawn worker."""
     try:
-        decoded = pickle.loads(body)
-    except Exception as exc:  # pragma: no cover - defensive
-        return WorkerFailure(
-            index=index, key=key, kind="error",
-            error_type=type(exc).__name__,
-            message=f"could not decode worker result: {exc}",
-        )
-    if decoded[0] == "ok":
-        return decoded[1]
-    _, error_type, message, trace, exc_bytes = decoded
-    exception: Optional[BaseException] = None
-    if exc_bytes is not None:
-        try:
-            exception = pickle.loads(exc_bytes)
-        except Exception:  # pragma: no cover - worker pre-validated
-            exception = None
-    return WorkerFailure(
-        index=index, key=key, kind="error",
-        error_type=error_type, message=message, traceback=trace,
-        exception=exception,
-    )
+        pickle.dumps((call.fn, call.args, call.kwargs or {}),
+                     protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return False
+    return True
 
 
 def raise_failures(outcomes: Sequence[Any]) -> None:

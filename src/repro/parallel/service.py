@@ -1,30 +1,35 @@
-"""``PoolService``: the request/response face of the warm worker pool.
+"""``PoolService``: the one worker engine of :mod:`repro.parallel`.
 
-:class:`~repro.parallel.pool.RunPool` is a *batch* engine: one thread
-submits a whole sweep and blocks until every slot is merged.  A server
-has the opposite shape -- many handler threads each submitting one task
-and waiting for exactly that task's result, while the pool of warm
-workers stays up across requests.  ``PoolService`` provides that shape
-on the same worker wire protocol (:mod:`repro.parallel.worker`):
+Every parallel task in the package runs here.  The scenario server
+submits one ticket per request and waits for exactly that ticket;
+:class:`~repro.parallel.pool.RunPool` is an ordered gather on top (it
+submits a whole batch, then waits on the tickets in submission order).
+The engine owns everything else:
 
 * **Warm workers** -- ``jobs`` spawn-context workers are started once
-  and reused across every request; a dead worker is respawned so the
+  and reused across every task; a dead worker is respawned so the
   service keeps serving (``worker_restarts`` counts replacements).
+* **Parent-side assignment** -- each worker has its own task queue and
+  the parent hands a task to a worker only while that worker is idle,
+  so the parent's own record says which worker holds which task.  A
+  worker that dies fails exactly the task it holds as ``kind="crash"``,
+  even when it dies before it could send anything.
 * **Bounded admission** -- at most ``max_pending`` tasks may be
   submitted-but-unfinished; :meth:`submit` raises
   :class:`QueueFullError` beyond that, which the scenario server maps
   to HTTP 429.  Admission control lives *here*, ahead of the workers,
   so an overloaded service fails fast instead of queueing unboundedly.
-* **Per-task timeouts** -- a task past its deadline gets its worker
-  terminated (and replaced); the submitter receives a typed
-  :class:`~repro.parallel.pool.WorkerFailure` with ``kind="timeout"``.
-* **Typed failure rows** -- worker crashes and task exceptions come
-  back as :class:`WorkerFailure`, exactly like the batch pool.
+* **Per-task deadlines** -- the clock starts when a task is handed to
+  its worker; past the deadline the worker is terminated (and
+  replaced) and the task becomes a ``kind="timeout"``
+  :class:`WorkerFailure`.
+* **Typed failure rows** -- worker crashes, deadlines and task
+  exceptions all come back as :class:`WorkerFailure`.
 
-Host wall-clock reads here drive orchestration only (timeouts, liveness
-sweeps); simulated behavior inside the workers remains a pure function
-of each task's payload -- the determinism lint exempts this file for
-the same reason it exempts ``parallel/pool.py``.
+Host wall-clock reads here drive orchestration only (deadlines, join
+timeouts); simulated behavior inside the workers remains a pure
+function of each task's payload -- the determinism lint exempts this
+file for that reason.
 """
 
 from __future__ import annotations
@@ -34,16 +39,16 @@ import pickle
 import queue as queue_module
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.parallel.pool import WorkerFailure, decode_result_body
 from repro.parallel.seeds import resolve_jobs
 from repro.parallel.worker import worker_main
 
 #: How long the collector blocks on the result queue between
-#: liveness/timeout sweeps.
+#: liveness/deadline sweeps.
 _POLL_SECONDS = 0.05
 
 #: Seconds to wait for a worker to exit voluntarily at close time.
@@ -59,6 +64,72 @@ class ServiceClosedError(RuntimeError):
     """Raised when submitting to (or waiting on) a closed service."""
 
 
+class WorkerError(RuntimeError):
+    """Raised in the parent for a task failure whose original exception
+    could not be transported across the process boundary."""
+
+
+@dataclass
+class WorkerFailure:
+    """A task that did not produce a result -- the error row format.
+
+    ``kind`` is ``"error"`` (the task raised), ``"timeout"`` (the task
+    exceeded its deadline and its worker was killed) or ``"crash"``
+    (the worker process died under the task).  When the original
+    exception could be pickled it is carried in ``exception`` and
+    :meth:`raise_` re-raises it; otherwise :meth:`raise_` raises a
+    :class:`WorkerError` with the marshaled description.
+    """
+
+    index: int
+    key: str
+    kind: str
+    error_type: str
+    message: str
+    traceback: str = ""
+    exception: Optional[BaseException] = field(
+        default=None, repr=False, compare=False)
+
+    def __str__(self) -> str:
+        where = f" (task {self.key})" if self.key else ""
+        return f"[{self.kind}] {self.error_type}: {self.message}{where}"
+
+    def raise_(self) -> None:
+        if self.exception is not None:
+            raise self.exception
+        raise WorkerError(str(self))
+
+
+def _decode_result(index: int, key: str, body: bytes) -> Any:
+    """Decode the body of one ``("done", ...)`` message.
+
+    Returns the task's value, or a :class:`WorkerFailure` row carrying
+    the worker-side error.
+    """
+    try:
+        decoded = pickle.loads(body)
+    except Exception as exc:
+        return WorkerFailure(
+            index=index, key=key, kind="error",
+            error_type=type(exc).__name__,
+            message=f"could not decode worker result: {exc}",
+        )
+    if decoded[0] == "ok":
+        return decoded[1]
+    _, error_type, message, trace, exc_bytes = decoded
+    exception: Optional[BaseException] = None
+    if exc_bytes is not None:
+        try:
+            exception = pickle.loads(exc_bytes)
+        except Exception:  # pragma: no cover - worker pre-validated
+            exception = None
+    return WorkerFailure(
+        index=index, key=key, kind="error",
+        error_type=error_type, message=message, traceback=trace,
+        exception=exception,
+    )
+
+
 @dataclass
 class Ticket:
     """One submitted task: wait on :meth:`PoolService.result` with it."""
@@ -68,10 +139,19 @@ class Ticket:
     timeout: Optional[float]
     done: threading.Event = field(default_factory=threading.Event, repr=False)
     outcome: Any = field(default=None, repr=False)
-    #: Host-monotonic time the task *started on a worker* (None while
-    #: queued); used by the timeout sweep, never by task results.
+    #: Host-monotonic time the task was handed to a worker (None while
+    #: queued); used by the deadline sweep, never by task results.
     started_at: Optional[float] = field(default=None, repr=False)
     worker_id: Optional[int] = None
+
+
+@dataclass
+class _Worker:
+    """One worker process, its private task queue and the task it holds."""
+
+    process: Any
+    tasks: Any
+    ticket: Optional[Ticket] = None
 
 
 class PoolService:
@@ -103,22 +183,22 @@ class PoolService:
         self.tasks_completed = 0
         self.collector_errors = 0
         self._ctx = multiprocessing.get_context("spawn")
-        self._task_queue = self._ctx.Queue()
         self._result_queue = self._ctx.Queue()
         self._lock = threading.Lock()
+        #: ticket index -> every unfinished ticket (queued or held).
         self._tickets: Dict[int, Ticket] = {}
-        #: worker id -> process handle.
-        self._workers: Dict[int, Any] = {}
-        #: worker id -> ticket index it is currently running.
-        self._running: Dict[int, int] = {}
+        #: admitted tasks not yet handed to a worker, in FIFO order.
+        self._queued: Deque[Tuple[Ticket, bytes]] = deque()
+        self._workers: Dict[int, _Worker] = {}
+        #: ids of live workers that hold no task and are ready for one.
+        self._idle: Deque[int] = deque()
         self._next_index = 0
         self._next_worker_id = 0
         self._closed = threading.Event()
         with self._lock:
             self._spawn_missing_locked()
         self._collector = threading.Thread(
-            target=self._collect, name="repro-poolservice-collector",
-            daemon=True)
+            target=self._collect, name="repro-pool-collector", daemon=True)
         self._collector.start()
 
     # ------------------------------------------------------------------
@@ -132,15 +212,15 @@ class PoolService:
 
     @property
     def in_flight(self) -> int:
-        """Tasks currently executing on a worker."""
+        """Tasks currently held by a worker."""
         with self._lock:
-            return len(self._running)
+            return len(self._tickets) - len(self._queued)
 
     @property
     def queue_depth(self) -> int:
-        """Tasks admitted but not yet started on any worker."""
+        """Tasks admitted but not yet handed to any worker."""
         with self._lock:
-            return len(self._tickets) - len(self._running)
+            return len(self._queued)
 
     @property
     def workers(self) -> int:
@@ -152,8 +232,8 @@ class PoolService:
             return {
                 "workers": len(self._workers),
                 "pending": len(self._tickets),
-                "in_flight": len(self._running),
-                "queue_depth": len(self._tickets) - len(self._running),
+                "in_flight": len(self._tickets) - len(self._queued),
+                "queue_depth": len(self._queued),
                 "worker_restarts": self.worker_restarts,
                 "workers_spawned": self.workers_spawned,
                 "tasks_submitted": self.tasks_submitted,
@@ -177,19 +257,17 @@ class PoolService:
         self._closed.set()
         self._collector.join(timeout=_JOIN_SECONDS + 1.0)
         with self._lock:
-            for _ in self._workers:
-                try:
-                    self._task_queue.put(None)
-                except (OSError, ValueError):  # pragma: no cover - teardown
-                    break
+            for worker in self._workers.values():
+                worker.tasks.put(None)
             deadline = time.monotonic() + _JOIN_SECONDS
-            for process in self._workers.values():
-                process.join(timeout=max(0.0, deadline - time.monotonic()))
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=_JOIN_SECONDS)
-            self._workers.clear()
-            self._running.clear()
+            for worker_id, worker in list(self._workers.items()):
+                worker.process.join(
+                    timeout=max(0.0, deadline - time.monotonic()))
+                if worker.process.is_alive():
+                    worker.process.terminate()
+                    worker.process.join(timeout=_JOIN_SECONDS)
+                self._drop_worker_locked(worker_id)
+            self._queued.clear()
             for ticket in list(self._tickets.values()):
                 self._finish_locked(ticket, WorkerFailure(
                     index=ticket.index, key=ticket.key, kind="error",
@@ -210,8 +288,8 @@ class PoolService:
         already unfinished, :class:`ServiceClosedError` after
         :meth:`close`, and ``TypeError``/``pickle.PicklingError`` when
         the payload cannot travel to a worker (the service has no
-        inline fallback -- server tasks must be module-level
-        callables).  ``timeout=-1`` means "use the service default".
+        inline fallback -- tasks must be module-level callables).
+        ``timeout=-1`` means "use the service default".
         """
         if self._closed.is_set():
             raise ServiceClosedError("cannot submit to a closed PoolService")
@@ -230,7 +308,8 @@ class PoolService:
                             timeout=effective_timeout)
             self._tickets[index] = ticket
             self.tasks_submitted += 1
-        self._task_queue.put((index, payload))
+            self._queued.append((ticket, payload))
+            self._dispatch_locked()
         return ticket
 
     def result(self, ticket: Ticket, wait: Optional[float] = None) -> Any:
@@ -287,70 +366,63 @@ class PoolService:
             return True
         except (OSError, ValueError):  # pragma: no cover - teardown
             return False
-        kind = message[0]
-        if kind == "hello":
-            return True
-        if kind == "start":
-            _, worker_id, index = message
-            with self._lock:
-                ticket = self._tickets.get(index)
-                if ticket is not None:
-                    ticket.started_at = time.monotonic()
-                    ticket.worker_id = worker_id
-                    self._running[worker_id] = index
-        elif kind == "done":
-            _, worker_id, index, body = message
-            with self._lock:
-                self._running.pop(worker_id, None)
-                ticket = self._tickets.get(index)
-                if ticket is None:
-                    return True  # cancelled by timeout before the result
-                outcome = decode_result_body(index, ticket.key, body)
-                self._finish_locked(ticket, outcome)
-        else:
+        kind, worker_id, index, body = message
+        if kind != "done":
             raise ValueError(f"unknown result-queue message kind {kind!r}")
+        with self._lock:
+            worker = self._workers.get(worker_id)
+            if worker is not None:
+                worker.ticket = None
+                self._idle.append(worker_id)
+            # The ticket is gone when its deadline already failed it.
+            ticket = self._tickets.get(index) if index is not None else None
+            if ticket is not None:
+                self._finish_locked(
+                    ticket, _decode_result(index, ticket.key, body))
+            self._dispatch_locked()
         return True
 
     def _sweep(self) -> None:
-        """Respawn dead workers; cancel tasks past their deadline."""
+        """Fail the tasks of dead and overdue workers; respawn workers."""
         now = time.monotonic()
         with self._lock:
-            for worker_id, process in list(self._workers.items()):
-                if not process.is_alive():
-                    del self._workers[worker_id]
-                    index = self._running.pop(worker_id, None)
-                    self.worker_restarts += 1
-                    ticket = self._tickets.get(index) if index is not None \
-                        else None
-                    if ticket is not None:
-                        self._finish_locked(ticket, WorkerFailure(
-                            index=ticket.index, key=ticket.key, kind="crash",
-                            error_type="WorkerCrash",
-                            message=(f"worker {worker_id} exited with code "
-                                     f"{process.exitcode} while running the "
-                                     f"task"),
-                        ))
-                    continue
-                index = self._running.get(worker_id)
-                if index is None:
-                    continue
-                ticket = self._tickets.get(index)
-                if (ticket is not None and ticket.timeout is not None
+            for worker_id, worker in list(self._workers.items()):
+                ticket = worker.ticket
+                if not worker.process.is_alive():
+                    kind, error_type, message = (
+                        "crash", "WorkerCrash",
+                        f"worker {worker_id} exited with code "
+                        f"{worker.process.exitcode} while running the task")
+                elif (ticket is not None and ticket.timeout is not None
                         and ticket.started_at is not None
                         and now - ticket.started_at > ticket.timeout):
-                    process.terminate()
-                    process.join(timeout=_JOIN_SECONDS)
-                    del self._workers[worker_id]
-                    self._running.pop(worker_id, None)
-                    self.worker_restarts += 1
+                    worker.process.terminate()
+                    worker.process.join(timeout=_JOIN_SECONDS)
+                    kind, error_type, message = (
+                        "timeout", "TimeoutError",
+                        f"task exceeded its deadline of {ticket.timeout:g}s; "
+                        f"worker {worker_id} was cancelled")
+                else:
+                    continue
+                self._drop_worker_locked(worker_id)
+                self.worker_restarts += 1
+                if ticket is not None:
                     self._finish_locked(ticket, WorkerFailure(
-                        index=ticket.index, key=ticket.key, kind="timeout",
-                        error_type="TimeoutError",
-                        message=(f"task exceeded its deadline of "
-                                 f"{ticket.timeout:g}s; worker {worker_id} "
-                                 f"was cancelled"),
-                    ))
+                        index=ticket.index, key=ticket.key, kind=kind,
+                        error_type=error_type, message=message))
             self._spawn_missing_locked()
+            self._dispatch_locked()
+
+    def _dispatch_locked(self) -> None:
+        """Hand queued tasks to idle workers (caller holds the lock)."""
+        while self._queued and self._idle:
+            worker_id = self._idle.popleft()
+            ticket, payload = self._queued.popleft()
+            worker = self._workers[worker_id]
+            worker.tasks.put((ticket.index, payload))
+            worker.ticket = ticket
+            ticket.worker_id = worker_id
+            ticket.started_at = time.monotonic()
 
     def _finish_locked(self, ticket: Ticket, outcome: Any) -> None:
         """Resolve one ticket (caller holds the lock)."""
@@ -359,22 +431,45 @@ class PoolService:
         self.tasks_completed += 1
         ticket.done.set()
 
+    def _drop_worker_locked(self, worker_id: int) -> None:
+        """Forget one worker whose process has ended (caller holds the
+        lock).  Its task queue may still hold an unread item, so the
+        queue must not make interpreter exit wait on it."""
+        worker = self._workers.pop(worker_id)
+        if worker_id in self._idle:
+            self._idle.remove(worker_id)
+        worker.tasks.cancel_join_thread()
+        worker.tasks.close()
+
     def _spawn_missing_locked(self) -> None:
-        """Keep ``jobs`` warm workers alive (caller holds the lock)."""
+        """Keep ``jobs`` warm workers alive (caller holds the lock).
+
+        A new worker first reports ``("done", id, None, None)`` once its
+        interpreter is up; only then does it join the idle list, so
+        interpreter start-up never counts against a task's deadline.
+        """
         if self._closed.is_set():
             return
         while len(self._workers) < self.jobs:
             worker_id = self._next_worker_id
             self._next_worker_id += 1
+            tasks = self._ctx.Queue()
             process = self._ctx.Process(
                 target=worker_main,
-                args=(worker_id, self._task_queue, self._result_queue, False),
+                args=(worker_id, tasks, self._result_queue),
                 daemon=True,
-                name=f"repro-poolservice-{worker_id}",
+                name=f"repro-pool-{worker_id}",
             )
             process.start()
-            self._workers[worker_id] = process
+            self._workers[worker_id] = _Worker(process, tasks)
             self.workers_spawned += 1
 
 
-__all__ = ["PoolService", "QueueFullError", "ServiceClosedError", "Ticket"]
+__all__ = [
+    "PoolService",
+    "QueueFullError",
+    "ServiceClosedError",
+    "Ticket",
+    "WorkerError",
+    "WorkerFailure",
+]

@@ -1,4 +1,4 @@
-"""The worker-side main loop of :class:`repro.parallel.pool.RunPool`.
+"""The worker-side main loop of :class:`repro.parallel.service.PoolService`.
 
 Workers are started with the ``spawn`` context, so each one is a fresh
 interpreter that imports this module by name -- ``sys.path`` (and with it
@@ -7,27 +7,23 @@ step, and none of the parent's mutable module state leaks in.  Anything a
 task needs beyond the package source (inline-check flags, experiment
 defaults, seeds) therefore has to travel *inside the task payload*; the
 helpers in :mod:`repro.experiments.runner` and :mod:`repro.perf.bench`
-are written that way.
+are written that way.  Per-worker one-time state (such as the bench
+harness's host calibration) is cached by the task code itself.
 
-Per-worker one-time setup happens here, before the first task:
+Each worker reads its own task queue; the parent puts a task there only
+while the worker is idle, so the parent always knows which task a worker
+holds and no worker-side announcement is needed for crash or deadline
+attribution.  The protocol has two message kinds:
 
-* optional host calibration (:func:`repro.perf.counters.calibrate`), so
-  benchmark repeats executed on this worker can be normalized by *this
-  worker's* measured speed rather than the parent's;
-* a ``hello`` message announcing the worker and its calibration factor.
-
-The message protocol on the result queue (all tuples, first element is
-the message kind):
-
-``("hello", worker_id, calibration_or_none)``
-    sent once at startup;
-``("start", worker_id, task_index)``
-    sent immediately before a task body runs (the parent uses it to
-    arm the per-task timeout clock);
-``("done", worker_id, task_index, body_bytes)``
-    sent after a task finishes; ``body_bytes`` unpickles to either
+``(task_index, payload_bytes)`` on the worker's task queue
+    one pickled ``(fn, args, kwargs)`` task; ``None`` retires the
+    worker;
+``("done", worker_id, task_index, body_bytes)`` on the shared result queue
+    the worker is idle again.  ``body_bytes`` unpickles to either
     ``("ok", value)`` or ``("error", type_name, message, traceback,
-    pickled_exception_or_none)``.
+    pickled_exception_or_none)``.  A worker's first ``done``, sent once
+    its interpreter is up, has ``task_index`` and ``body_bytes``
+    ``None``.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ def _run_payload(payload: bytes) -> bytes:
 
     Never raises: every exception (including result-pickling failures)
     is folded into an ``("error", ...)`` body so the parent can surface
-    it as a typed :class:`~repro.parallel.pool.WorkerFailure` row.
+    it as a typed :class:`~repro.parallel.service.WorkerFailure` row.
     """
     try:
         fn, args, kwargs = pickle.loads(payload)
@@ -74,20 +70,12 @@ def _error_body(exc: BaseException, note: str = "") -> bytes:
     )
 
 
-def worker_main(worker_id: int, task_queue: Any, result_queue: Any,
-                calibrate_worker: bool) -> None:
-    """Announce, then serve tasks until the ``None`` sentinel arrives."""
-    calibration = None
-    if calibrate_worker:
-        from repro.perf.counters import calibrate
-
-        calibration = calibrate()
-    result_queue.put(("hello", worker_id, calibration))
+def worker_main(worker_id: int, task_queue: Any, result_queue: Any) -> None:
+    """Serve tasks from ``task_queue`` until the ``None`` sentinel."""
+    result_queue.put(("done", worker_id, None, None))
     while True:
         item = task_queue.get()
         if item is None:
             break
         index, payload = item
-        result_queue.put(("start", worker_id, index))
-        body = _run_payload(payload)
-        result_queue.put(("done", worker_id, index, body))
+        result_queue.put(("done", worker_id, index, _run_payload(payload)))

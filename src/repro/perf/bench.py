@@ -17,9 +17,10 @@ runs ``repeats`` times and reports the best run.
 
 With ``run_suite(jobs=N)`` the individual (benchmark, repeat) cells fan
 out over a :class:`repro.parallel.RunPool`.  Concurrent repeats contend
-for the host, so each worker measures its *own* calibration factor at
-startup and every repeat is re-expressed in the parent's calibration
-units before the best-of merge -- the normalized regression gate
+for the host, so each cell returns its worker's *own* calibration
+factor (measured once per worker process, on its first cell) and every
+repeat is re-expressed in the parent's calibration units before the
+best-of merge -- the normalized regression gate
 (``--against``) stays valid under fan-out.  The ``sweep_parallel``
 benchmark itself exercises the parallel sweep engine, so in a fanned-out
 suite it runs in the parent (nested pools are deliberately avoided).
@@ -27,9 +28,10 @@ suite it runs in the parent (nested pools are deliberately avoided).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.perf.counters import BenchRecord, Stopwatch
+from repro.perf.counters import BenchRecord, Stopwatch, calibrate
 
 #: Benchmarks that manage their own worker pool and therefore run in the
 #: parent even when the suite fans out.
@@ -454,16 +456,27 @@ def bench_sweep_parallel(quick: bool, seed: int, repeats: int,
 # ----------------------------------------------------------------------
 # suite driver
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _process_calibration() -> float:
+    """This process's host calibration, measured once on first use."""
+    return calibrate()
+
+
 def _bench_cell(name: str, quick: bool, seed: int,
-                store_dir: Optional[str], check: bool) -> BenchRecord:
+                store_dir: Optional[str],
+                check: bool) -> Tuple[BenchRecord, float]:
     """Worker-side body: one benchmark, one repeat.
 
     Module-level so it pickles into spawn workers by reference; the
     benchmark is resolved from the registry *inside* the worker, which
     re-imports this module and therefore re-registers the full suite.
+    Returns the record with its worker's calibration, so the parent can
+    re-express the wall-clock in its own calibration units.
     """
-    return ALL_BENCHMARKS[name](quick=quick, seed=seed, repeats=1,
-                                store_dir=store_dir, check=check, jobs=1)
+    calibration = _process_calibration()
+    record = ALL_BENCHMARKS[name](quick=quick, seed=seed, repeats=1,
+                                  store_dir=store_dir, check=check, jobs=1)
+    return record, calibration
 
 
 #: Lines of ``pstats`` output kept per benchmark under ``--profile``.
@@ -512,9 +525,9 @@ def run_suite(
     processes.  Records still come back in registry order with their
     deterministic counters unchanged; wall-clock readings are taken in
     the workers and re-expressed in the parent's calibration units
-    (worker calibration factors are measured per worker at startup)
-    before the best-of merge, so normalized comparisons against serial
-    or remote baselines remain valid.
+    (each worker measures its calibration factor once, on its first
+    cell) before the best-of merge, so normalized comparisons against
+    serial or remote baselines remain valid.
 
     ``profile_sink`` (a dict) turns on cProfile: each benchmark's top
     cumulative hotspots land in ``profile_sink[name]`` as ``pstats``
@@ -558,7 +571,6 @@ def _run_suite_parallel(
     n_jobs: int,
 ) -> List[BenchRecord]:
     from repro.parallel import Call, RunPool, raise_failures
-    from repro.perf.counters import calibrate
 
     fanned = [name for name in selected if name not in PARENT_ONLY_BENCHMARKS]
     calls = [
@@ -566,19 +578,14 @@ def _run_suite_parallel(
              key=f"{name}#{repeat}")
         for name in fanned for repeat in range(max(1, repeats))
     ]
-    parent_calibration = calibrate()
-    with RunPool(jobs=n_jobs, calibrate_workers=True) as pool:
+    parent_calibration = _process_calibration()
+    with RunPool(jobs=n_jobs) as pool:
         outcomes = pool.map(calls)
-        raise_failures(outcomes)
-        workers = list(pool.last_workers)
-        calibrations = dict(pool.worker_calibrations)
+    raise_failures(outcomes)
 
     by_name: Dict[str, BenchRecord] = {}
-    for call, record, worker_id in zip(calls, outcomes, workers):
-        calibration = calibrations.get(worker_id) if worker_id is not None \
-            else None
-        scale = (parent_calibration / calibration) if calibration else 1.0
-        adjusted = record.wall_seconds * scale
+    for record, calibration in outcomes:
+        adjusted = record.wall_seconds * (parent_calibration / calibration)
         best = by_name.get(record.name)
         if best is None or adjusted < best.wall_seconds:
             record.wall_seconds = adjusted

@@ -36,7 +36,11 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import __version__
 from repro.errors import ConfigError
-from repro.parallel.service import PoolService, QueueFullError
+from repro.parallel.service import (
+    PoolService,
+    QueueFullError,
+    WorkerFailure,
+)
 from repro.server.cache import ResultCache
 from repro.server.handlers import (
     ScenarioRequestHandler,
@@ -263,7 +267,6 @@ class ScenarioServer:
                 if self.request_timeout is not None else None)
         outcome = self.service.result(ticket, wait=wait)
 
-        from repro.parallel.pool import WorkerFailure
         from repro.server.scenario import encode_response
 
         if isinstance(outcome, WorkerFailure):

@@ -66,10 +66,9 @@ KNOWN_SET_ATTRS = {"copy_set", "local_readers"}
 #: same reason as the inline verifier: it *measures* host time around
 #: completed simulations (that is its whole job) and never feeds it back
 #: into simulated behavior.
-#: ``repro.parallel.pool`` / ``repro.parallel.service`` read the host
-#: clock for orchestration only (per-task timeouts, worker join
-#: deadlines); simulated behavior inside the workers remains a pure
-#: function of the task's seed.  The scenario server's HTTP layer
+#: ``repro.parallel.service`` reads the host clock for orchestration
+#: only (per-task deadlines, worker join deadlines); simulated behavior
+#: inside the workers remains a pure function of the task's seed.  The scenario server's HTTP layer
 #: (``server/app.py``, ``server/handlers.py``, ``server/metrics.py``,
 #: ``server/client.py``) measures request latencies and uptime --
 #: host-side observability that never reaches a simulation, whose
@@ -82,10 +81,10 @@ KNOWN_SET_ATTRS = {"copy_set", "local_readers"}
 #: unseeded-random rule already permits everywhere.
 RULE_EXEMPT_SUFFIXES: Dict[str, Tuple[str, ...]] = {
     "wall-clock": ("verify/inline.py", "perf/counters.py", "perf/bench.py",
-                   "perf/report.py", "parallel/pool.py",
-                   "parallel/service.py", "server/app.py",
-                   "server/handlers.py", "server/metrics.py",
-                   "server/client.py", "fuzz/engine.py"),
+                   "perf/report.py", "parallel/service.py",
+                   "server/app.py", "server/handlers.py",
+                   "server/metrics.py", "server/client.py",
+                   "fuzz/engine.py"),
     "unseeded-random": ("sim/rng.py",),
 }
 

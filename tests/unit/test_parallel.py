@@ -8,6 +8,8 @@ fallback instead.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 
 import pytest
@@ -38,6 +40,10 @@ def _fail_on_odd(x):
 def _sleep_then(seconds, value):
     time.sleep(seconds)
     return value
+
+
+def _exit_now():
+    os._exit(3)
 
 
 def _point_value(a, b):
@@ -176,6 +182,36 @@ def test_runpool_progress_reports_every_completion():
                  seen.append((done, total))) as pool:
         pool.map([Call(_square, (i,)) for i in range(5)])
     assert sorted(seen) == [(i, 5) for i in range(1, 6)]
+
+
+def test_runpool_immediate_worker_exit_becomes_a_crash_row():
+    # Warm both workers with ordinary tasks from this module first, so
+    # the exiting task dies at once instead of after an import.  The
+    # maps run in a daemon thread: a lost task fails the join, not tier-1.
+    outcome = {}
+
+    def scenario():
+        with RunPool(jobs=2, timeout=30.0) as pool:
+            outcome["warm"] = pool.map([Call(_square, (i,)) for i in range(2)])
+            outcome["crashed"] = pool.map(
+                [Call(_square, (0,)), Call(_square, (1,)),
+                 Call(_exit_now, key="exit"), Call(_square, (3,)),
+                 Call(_square, (4,))])
+            outcome["after"] = pool.map([Call(_square, (i,))
+                                         for i in range(4)])
+
+    runner = threading.Thread(target=scenario, daemon=True)
+    runner.start()
+    runner.join(timeout=120.0)
+    assert not runner.is_alive(), "RunPool.map lost the crashed task"
+    assert outcome["warm"] == [0, 1]
+    crashed = outcome["crashed"]
+    assert crashed[:2] == [0, 1] and crashed[3:] == [9, 16]
+    failure = crashed[2]
+    assert isinstance(failure, WorkerFailure)
+    assert failure.kind == "crash"
+    assert failure.index == 2 and failure.key == "exit"
+    assert outcome["after"] == [0, 1, 4, 9]
 
 
 def test_worker_failure_str_format():

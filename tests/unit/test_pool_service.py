@@ -8,6 +8,8 @@ inline fallback: server tasks must be picklable.
 from __future__ import annotations
 
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -148,3 +150,53 @@ def test_collector_survives_malformed_queue_messages():
         assert _wait_until(
             lambda: service.stats()["collector_errors"] >= 2)
         assert service.run(_double, (5,), wait=30.0) == 10
+
+
+def test_immediate_exit_on_a_warm_worker_is_a_crash_every_time():
+    # The crashing task runs on a warm worker (one ordinary task from
+    # this module first), so nothing delays its os._exit: the engine
+    # must attribute the crash from its own record of which worker holds
+    # which task, not from anything the dying worker sends.  A bounded
+    # wait turns a lost task into a failure instead of a hang.
+    with PoolService(jobs=1) as service:
+        for attempt in range(20):
+            assert service.run(_double, (attempt,), wait=60.0) == 2 * attempt
+            outcome = service.run(_die, wait=30.0)
+            assert isinstance(outcome, WorkerFailure), attempt
+            assert outcome.kind == "crash"
+        assert service.stats()["pending"] == 0
+        assert service.run(_double, (21,), wait=60.0) == 42
+
+
+def test_concurrent_submitters_on_more_workers_than_cores():
+    # Handler threads and the collector share the engine's queue, idle
+    # list and assignments; a lost update would strand a ticket or hand
+    # one worker two tasks.  More workers than cores, a short switch
+    # interval, and every thread joined with a timeout.
+    results = {}
+
+    def submitter(base):
+        tickets = [(base + i, service.submit(_double, (base + i,)))
+                   for i in range(10)]
+        for value, ticket in tickets:
+            results[value] = service.result(ticket, wait=60.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with PoolService(jobs=(os.cpu_count() or 1) + 1,
+                         max_pending=100) as service:
+            threads = [threading.Thread(target=submitter, args=(100 * n,),
+                                        daemon=True) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+            stats = service.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {value: 2 * value for value in results}
+    assert len(results) == 80
+    assert stats["pending"] == 0 and stats["in_flight"] == 0
+    assert stats["tasks_completed"] == stats["tasks_submitted"] == 80

@@ -114,7 +114,7 @@ class TestSuppression:
 class TestRuleExemptions:
     def test_exemptions_are_per_rule(self):
         # A wall-clock-exempt path is NOT exempt from the other rules.
-        path = "repro/parallel/pool.py"
+        path = "repro/parallel/service.py"
         assert path.endswith(RULE_EXEMPT_SUFFIXES["wall-clock"][4])
         assert lint_source(path, "import time\nt = time.time()\n") == []
         findings = lint_source(path,
